@@ -33,11 +33,16 @@ SETDISC_FAULT_SEED=42 run cargo test -q -p setdisc-service --test chaos
 run cargo run --release -p setdisc-eval --bin experiments -- table1 --scale smoke --no-csv >/dev/null
 
 # Bench smoke: hot-path kernels at smoke scale, emitting the JSON perf
-# artifact. The committed BENCH_hotpath.json is the baseline perf PRs
-# compare against; --compare prints per-kernel deltas against it (read
-# before the file is overwritten). Regenerate on a quiet machine.
+# artifact under target/. --compare prints per-kernel deltas against the
+# committed BENCH_hotpath.json, which CI never overwrites (it was measured
+# on another machine, so the deltas are context, not a gate). The one gate
+# here is the telemetry contract (DESIGN.md §12): a disarmed span must cost
+# under 25 ns in the optimized build, checked on the release-built
+# obs_span_disarmed kernel. (The unit test only checks that a disarmed span
+# reads no clock, which holds under any load.)
 run cargo bench -p setdisc-bench --bench bench_hotpath -- --scale smoke \
-    --compare "$PWD/BENCH_hotpath.json" --out "$PWD/BENCH_hotpath.json"
+    --compare "$PWD/BENCH_hotpath.json" --out "$PWD/target/bench_hotpath.json" \
+    --ceiling obs_span_disarmed=25
 
 # Cost-model calibration report (DESIGN.md §14): force both counting
 # kernels over a size range, fit ns/element and ns/scan-unit through the

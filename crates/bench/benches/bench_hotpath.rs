@@ -6,7 +6,7 @@
 //! ```text
 //! cargo bench -p setdisc-bench --bench bench_hotpath -- \
 //!     --scale smoke --out BENCH_hotpath.json \
-//!     [--filter substr] [--compare BASELINE.json]
+//!     [--filter substr] [--compare BASELINE.json] [--ceiling kernel=max_ns]
 //! cargo bench -p setdisc-bench --bench bench_hotpath -- \
 //!     --scale smoke --calibrate
 //! ```
@@ -16,6 +16,11 @@
 //! after the run — the workflow `ci.sh` uses to show every PR's effect on
 //! the committed baseline.
 //!
+//! `--ceiling kernel=max_ns` (repeatable) fails the run unless the named
+//! kernel's median cost per item stays below `max_ns` — `ci.sh` holds the
+//! release-built `obs_span_disarmed` kernel to the 25 ns/span telemetry
+//! contract this way.
+//!
 //! `--calibrate` is a separate mode: instead of the kernel suite it forces
 //! both counting kernels over a size range, fits ns-per-element and
 //! ns-per-scan-unit by least squares through the origin, and prints the
@@ -23,13 +28,16 @@
 //! the measured input for re-fitting the `use_postings` cost model
 //! (ROADMAP item 3, DESIGN.md §14).
 
-use setdisc_bench::hotpath::{compare_lines, run_calibration, run_kernels, to_json, HotpathScale};
+use setdisc_bench::hotpath::{
+    check_ceiling, compare_lines, run_calibration, run_kernels, to_json, HotpathScale,
+};
 
 fn main() {
     let mut scale = HotpathScale::Smoke;
     let mut out: Option<String> = None;
     let mut filter: Option<String> = None;
     let mut compare: Option<String> = None;
+    let mut ceilings: Vec<String> = Vec::new();
     let mut calibrate = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -43,6 +51,7 @@ fn main() {
             "--out" => out = Some(args.next().expect("--out needs a path")),
             "--filter" => filter = Some(args.next().expect("--filter needs a substring")),
             "--compare" => compare = Some(args.next().expect("--compare needs a path")),
+            "--ceiling" => ceilings.push(args.next().expect("--ceiling needs kernel=max_ns")),
             // `cargo bench` passes --bench through to the target; ignore it
             // and any other criterion-style flag so the harness composes.
             _ => {}
@@ -83,5 +92,18 @@ fn main() {
             eprintln!("wrote {path}");
         }
         None => println!("{}", doc.encode()),
+    }
+    let mut breached = false;
+    for spec in &ceilings {
+        match check_ceiling(spec, &reports) {
+            Ok(line) => eprintln!("ceiling ok: {line}"),
+            Err(e) => {
+                eprintln!("ceiling FAILED: {e}");
+                breached = true;
+            }
+        }
+    }
+    if breached {
+        std::process::exit(1);
     }
 }

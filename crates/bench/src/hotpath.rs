@@ -568,6 +568,35 @@ pub fn compare_lines(baseline_json: &str, reports: &[KernelReport]) -> Result<Ve
     Ok(lines)
 }
 
+/// Checks a per-item cost ceiling: `spec` is `kernel=max_ns` and the named
+/// kernel's median nanoseconds per item must stay below `max_ns`. The
+/// release-build gate for per-op contracts such as the disarmed span's
+/// 25 ns (`ci.sh` passes `--ceiling obs_span_disarmed=25`). Returns the
+/// report line, or an error when the ceiling is exceeded, the spec is
+/// malformed, or the kernel did not run.
+pub fn check_ceiling(spec: &str, reports: &[KernelReport]) -> Result<String, String> {
+    let (kernel, max) = spec
+        .split_once('=')
+        .ok_or_else(|| format!("ceiling {spec:?} is not kernel=max_ns"))?;
+    let max_ns: f64 = max
+        .parse()
+        .map_err(|_| format!("ceiling {spec:?} has a non-numeric bound"))?;
+    let rep = reports
+        .iter()
+        .find(|r| r.name == kernel)
+        .ok_or_else(|| format!("ceiling kernel {kernel:?} did not run"))?;
+    let per_item = rep.median_ns / rep.items_per_iter.max(1) as f64;
+    let line = format!(
+        "{kernel}: {per_item:.2} ns/{} (ceiling {max_ns} ns)",
+        rep.unit
+    );
+    if per_item < max_ns {
+        Ok(line)
+    } else {
+        Err(format!("{line} exceeded"))
+    }
+}
+
 /// Encodes the reports as the `BENCH_hotpath.json` document.
 pub fn to_json(scale: HotpathScale, reports: &[KernelReport]) -> JsonObject {
     JsonObject::new()
@@ -685,28 +714,37 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_span_overhead_is_negligible() {
-        // The §12 contract: a disarmed span site costs one relaxed load.
-        // The ceiling is absolute and deliberately generous (a relaxed
-        // load is ~1 ns; 25 ns absorbs a heavily loaded CI host) so the
-        // guard catches regressions of kind — an accidental
-        // Instant::now(), lock, or allocation on the disarmed path, each
-        // of which costs well past it — without being wall-clock flaky.
-        obs::arm(false);
-        const ITERS: u64 = 200_000;
-        let rep = time_kernel("span_guard", 15, ITERS, "spans", || {
-            let mut acc = 0u64;
-            for i in 0..ITERS {
-                let _span = obs::span(obs::Site::EngineSelect);
-                acc = acc.wrapping_add(black_box(i));
-            }
-            acc
-        });
-        let per_op = rep.median_ns / ITERS as f64;
+    fn ceiling_check_reads_ns_per_item() {
+        let mut rep = time_kernel("span", 1, 1000, "spans", || 1);
+        rep.median_ns = 3000.0; // 3 ns per span
+        let reports = [rep];
+        let ok = check_ceiling("span=25", &reports).unwrap();
+        assert!(ok.contains("3.00 ns/spans"), "{ok}");
         assert!(
-            per_op < 25.0,
-            "disarmed span costs {per_op:.2} ns/op — something heavy \
-             crept onto the disarmed path"
+            check_ceiling("span=3", &reports).is_err(),
+            "bound is strict"
+        );
+        assert!(
+            check_ceiling("other=25", &reports).is_err(),
+            "kernel must run"
+        );
+        assert!(check_ceiling("span", &reports).is_err());
+        assert!(check_ceiling("span=fast", &reports).is_err());
+    }
+
+    #[test]
+    fn disarmed_span_overhead_is_negligible() {
+        // The §12 contract: a disarmed span site costs one relaxed load —
+        // no clock read. Checked structurally here, so the test cannot
+        // depend on machine load or the unoptimized test profile; the
+        // 25 ns/op wall-clock ceiling is enforced on the release-built
+        // `obs_span_disarmed` kernel by `ci.sh` (`--ceiling`).
+        obs::arm(false);
+        let span = obs::span(obs::Site::EngineSelect);
+        assert!(
+            !span.is_timing(),
+            "a disarmed span read the clock — something heavy crept onto \
+             the disarmed path"
         );
     }
 

@@ -1,34 +1,43 @@
 //! Word-parallel set-id bitmaps and the inverted postings index.
 //!
 //! The selection hot kernels — splitting a sub-collection on an entity and
-//! counting entity occurrences — used to walk per-element `Vec<SetId>`
-//! views. This module provides the bitmap substrate that turns them into
-//! word-parallel operations:
+//! counting entity occurrences — are word-parallel operations over two
+//! structures:
 //!
 //! * [`IdBitmap`] — a dense `u64`-word bitmap over a collection's `SetId`
 //!   space (`n` sets ⇒ `⌈n/64⌉` words), with popcount-based length and an
-//!   increasing-id iterator. A [`crate::SubCollection`] carries one
-//!   alongside its sorted id vector, so `partition` becomes one pass of
-//!   `AND` / `ANDNOT` over the words.
+//!   increasing-id iterator. A [`crate::SubCollection`] carries one as its
+//!   primary representation, so `partition` is one pass of `AND` /
+//!   `ANDNOT` over the words.
 //! * [`EntityPostings`] — the inverted index in bitmap form: for each
-//!   entity, the bitmap of member sets containing it. Built once per
-//!   [`crate::Collection`] (and therefore shared through the service's
+//!   frequent entity, the bitmap of member sets containing it. Built once
+//!   per [`crate::Collection`] (and therefore shared through the service's
 //!   `Arc<Snapshot>` by every session over that collection).
+//!
+//! # The postings slab
+//!
+//! [`EntityPostings`] stores every dense bitmap in **one contiguous
+//! entity-major `Vec<u64>`**: `⌈n/64⌉` words per dense entity, back to
+//! back in entity-id order, plus one `u32` slot index per entity.
+//! [`EntityPostings::dense`] returns a `&[u64]` slice of the slab. The
+//! counting sweep visits occurring entities in id order, so it reads the
+//! slot index and the slab front to back — a streaming access the hardware
+//! prefetcher follows, with no per-entity heap pointer to chase before the
+//! first `AND`.
 //!
 //! # Dense vs. sparse representation
 //!
 //! A dense bitmap costs `⌈n/64⌉` words (`n/8` bytes) per entity regardless
 //! of how many sets contain it, which is wasteful for the long tail of rare
-//! entities. [`EntityPostings`] therefore materializes a bitmap only for
-//! entities whose sorted posting list (already held by the collection's
-//! inverted index) is at least as long as the bitmap's word count:
-//! at the threshold the bitmap costs at most 2× the sparse list's memory
-//! (8 bytes/word vs. 4 bytes/id), and above it the bitmap is both smaller
-//! per additional member and O(words) to intersect instead of
-//! O(|C| + |list|) to merge. Entities below the threshold keep only the
-//! sparse list; partition and counting fall back to per-id probes against
-//! the *view's* bitmap, which is O(|list|) — cheap exactly because the
-//! list is short. See DESIGN.md §8 for the full cost model.
+//! entities. Only entities whose sorted posting list (already held by the
+//! collection's inverted index) is at least as long as the bitmap's word
+//! count get a slab slot: at the threshold the bitmap costs at most 2× the
+//! sparse list's memory (8 bytes/word vs. 4 bytes/id), and above it the
+//! bitmap is both smaller per additional member and O(words) to intersect
+//! instead of O(|C| + |list|) to merge. Entities below the threshold keep
+//! only the sparse list; partition and counting fall back to per-id probes
+//! against the *view's* bitmap, which is O(|list|) — cheap exactly because
+//! the list is short. See DESIGN.md §8 for the full cost model.
 
 use crate::entity::{EntityId, SetId};
 
@@ -148,30 +157,26 @@ impl IdBitmap {
         &mut self.words
     }
 
-    /// `|self ∩ other|` by word-parallel popcount.
-    pub fn intersection_len(&self, other: &Self) -> usize {
-        debug_assert_eq!(self.words.len(), other.words.len());
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Iterates the present ids in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = SetId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let bit = w.trailing_zeros();
-                w &= w - 1;
-                Some(SetId(wi as u32 * 64 + bit))
-            })
-        })
+        iter_ids(&self.words)
     }
+}
+
+/// Iterates the ids present in raw bitmap words (an [`IdBitmap`]'s or a
+/// dense [`EntityPostings`] slice) in increasing order.
+pub(crate) fn iter_ids(words: &[u64]) -> impl Iterator<Item = SetId> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                return None;
+            }
+            let bit = w.trailing_zeros();
+            w &= w - 1;
+            Some(SetId(wi as u32 * 64 + bit))
+        })
+    })
 }
 
 impl setdisc_util::mem::HeapSize for IdBitmap {
@@ -186,58 +191,81 @@ impl std::fmt::Debug for IdBitmap {
     }
 }
 
+/// Slot marker for an entity without a dense bitmap.
+const NO_SLOT: u32 = u32::MAX;
+
 /// The inverted index in bitmap form: entity → bitmap of member sets, for
 /// the entities frequent enough to clear the dense threshold (see the
 /// module docs); rare entities keep only the collection's sorted posting
 /// lists.
+///
+/// Every dense bitmap lives in one contiguous entity-major slab of
+/// `⌈n/64⌉` words per dense entity, laid out in entity-id order; a `u32`
+/// slot per entity names its bitmap's position in the slab.
 pub struct EntityPostings {
-    /// Indexed by entity id; `None` below the dense threshold.
-    dense: Vec<Option<Box<IdBitmap>>>,
-    dense_entities: usize,
+    /// Words per dense bitmap (`⌈n/64⌉`).
+    words: usize,
+    /// Dense bitmaps back to back: slot `s` is `slab[s·words..(s+1)·words]`.
+    slab: Vec<u64>,
+    /// Indexed by entity id: the dense slot, or [`NO_SLOT`] below the
+    /// dense threshold.
+    slots: Vec<u32>,
     scan_cost: u64,
 }
 
 impl EntityPostings {
     /// Builds the index from the collection's inverted lists (`inverted[e]`
     /// = sorted ids of the sets containing entity `e`) over `n_sets` sets.
-    pub fn build(inverted: &[Vec<SetId>], n_sets: usize) -> Self {
+    /// `occurring` names the entities with a non-empty list, in increasing
+    /// id order (the collection's sweep domain): the build visits only
+    /// them, so a sub-collection over a large id universe pays nothing for
+    /// its absent entities beyond one slot each.
+    pub fn build(inverted: &[Vec<SetId>], occurring: &[EntityId], n_sets: usize) -> Self {
         let words = IdBitmap::words_for(n_sets);
-        let mut dense_entities = 0;
+        let is_dense = |e: EntityId| inverted[e.0 as usize].len() >= words.max(1);
+        let dense_entities = occurring.iter().filter(|&&e| is_dense(e)).count();
+        assert!(dense_entities < NO_SLOT as usize, "dense slot overflow");
+        let mut slots = vec![NO_SLOT; inverted.len()];
+        let mut slab = vec![0u64; dense_entities * words];
         let mut scan_cost = 0u64;
-        let dense = inverted
-            .iter()
-            .map(|list| {
-                if list.is_empty() {
-                    return None;
-                }
-                if list.len() >= words {
-                    dense_entities += 1;
-                    scan_cost += words as u64;
-                    Some(Box::new(IdBitmap::from_sorted_ids(n_sets, list)))
-                } else {
-                    scan_cost += list.len() as u64;
-                    None
-                }
-            })
-            .collect();
+        let mut next = 0u32;
+        for &e in occurring {
+            let list = &inverted[e.0 as usize];
+            if !is_dense(e) {
+                scan_cost += list.len() as u64;
+                continue;
+            }
+            scan_cost += words as u64;
+            slots[e.0 as usize] = next;
+            let bitmap = &mut slab[next as usize * words..][..words];
+            for &id in list {
+                bitmap[id.0 as usize / 64] |= 1u64 << (id.0 % 64);
+            }
+            next += 1;
+        }
         Self {
-            dense,
-            dense_entities,
+            words,
+            slab,
+            slots,
             scan_cost,
         }
     }
 
-    /// The dense bitmap for entity `e`, when it cleared the threshold.
+    /// The dense bitmap words for entity `e` (a slice of the slab), when
+    /// it cleared the threshold.
     #[inline]
-    pub fn dense(&self, e: EntityId) -> Option<&IdBitmap> {
-        self.dense
-            .get(e.0 as usize)
-            .and_then(|slot| slot.as_deref())
+    pub fn dense(&self, e: EntityId) -> Option<&[u64]> {
+        match self.slots.get(e.0 as usize) {
+            Some(&slot) if slot != NO_SLOT => {
+                Some(&self.slab[slot as usize * self.words..][..self.words])
+            }
+            _ => None,
+        }
     }
 
     /// Number of entities holding a dense bitmap.
     pub fn dense_entities(&self) -> usize {
-        self.dense_entities
+        self.slab.len().checked_div(self.words).unwrap_or(0)
     }
 
     /// Cost (in word/id probes) of one postings-driven counting sweep over
@@ -251,15 +279,23 @@ impl EntityPostings {
 
 impl setdisc_util::mem::HeapSize for EntityPostings {
     fn heap_bytes(&self) -> usize {
-        // The spine plus every materialized dense bitmap (boxed, so each
-        // carries its own `IdBitmap` header on the heap).
-        self.dense.heap_bytes()
+        use setdisc_util::mem::vec_bytes;
+        vec_bytes(&self.slab) + vec_bytes(&self.slots)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds over every entity with a non-empty list, as a collection does.
+    fn build(inverted: &[Vec<SetId>], n_sets: usize) -> EntityPostings {
+        let occurring: Vec<EntityId> = (0..inverted.len() as u32)
+            .map(EntityId)
+            .filter(|e| !inverted[e.0 as usize].is_empty())
+            .collect();
+        EntityPostings::build(inverted, &occurring, n_sets)
+    }
 
     fn ids(v: &[u32]) -> Vec<SetId> {
         v.iter().copied().map(SetId).collect()
@@ -317,15 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_len_matches_naive() {
-        let a = IdBitmap::from_sorted_ids(150, &ids(&[1, 2, 3, 64, 100, 149]));
-        let b = IdBitmap::from_sorted_ids(150, &ids(&[2, 3, 64, 101]));
-        assert_eq!(a.intersection_len(&b), 3);
-        assert_eq!(b.intersection_len(&a), 3);
-        assert_eq!(a.intersection_len(&IdBitmap::empty(150)), 0);
-    }
-
-    #[test]
     fn postings_dense_threshold() {
         // 130 sets → 3 words: lists of length ≥ 3 go dense.
         let n = 130usize;
@@ -336,13 +363,15 @@ mod tests {
             ids(&[0, 64, 129]),            // dense (length 3 ≥ 3 words)
             (0..130).map(SetId).collect(), // dense
         ];
-        let p = EntityPostings::build(&inverted, n);
+        let p = build(&inverted, n);
         assert!(p.dense(EntityId(0)).is_none());
         assert!(p.dense(EntityId(1)).is_none());
         assert!(p.dense(EntityId(2)).is_none());
         let d3 = p.dense(EntityId(3)).expect("dense");
-        assert_eq!(d3.iter().collect::<Vec<_>>(), ids(&[0, 64, 129]));
-        assert_eq!(p.dense(EntityId(4)).unwrap().len(), 130);
+        assert_eq!(d3.len(), 3, "one slab slice of ⌈n/64⌉ words");
+        assert_eq!(iter_ids(d3).collect::<Vec<_>>(), ids(&[0, 64, 129]));
+        let d4 = p.dense(EntityId(4)).unwrap();
+        assert_eq!(iter_ids(d4).count(), 130);
         assert!(p.dense(EntityId(99)).is_none(), "out of range is None");
         assert_eq!(p.dense_entities(), 2);
         // Scan cost: sparse lists contribute their length, dense ones the
@@ -354,9 +383,48 @@ mod tests {
     fn tiny_collections_are_all_dense() {
         // n ≤ 64 → one word: every occurring entity clears the threshold.
         let inverted = vec![ids(&[0]), ids(&[0, 1, 2])];
-        let p = EntityPostings::build(&inverted, 3);
+        let p = build(&inverted, 3);
         assert!(p.dense(EntityId(0)).is_some());
         assert!(p.dense(EntityId(1)).is_some());
         assert_eq!(p.dense_entities(), 2);
+    }
+
+    #[test]
+    fn slab_is_entity_major_in_id_order() {
+        // 70 sets → 2 words; entities 1 and 3 dense, 0 and 2 sparse.
+        let inverted = vec![ids(&[5]), ids(&[0, 69]), ids(&[]), ids(&[1, 2, 64])];
+        let p = build(&inverted, 70);
+        let d1 = p.dense(EntityId(1)).unwrap();
+        let d3 = p.dense(EntityId(3)).unwrap();
+        assert_eq!(d1, &[1, 1 << 5]);
+        assert_eq!(d3, &[0b110, 1]);
+        assert_eq!(p.slab, [1, 1 << 5, 0b110, 1], "slots back to back");
+        assert_eq!(p.slots, [NO_SLOT, 0, NO_SLOT, 1]);
+    }
+
+    #[test]
+    fn heap_bytes_are_the_slab_plus_the_slot_index() {
+        use setdisc_util::mem::{vec_bytes, HeapSize as _};
+        let inverted: Vec<Vec<SetId>> = (0..40u32)
+            .map(|e| {
+                (0..200)
+                    .filter(|s| s % (3 * e + 1) == 0)
+                    .map(SetId)
+                    .collect()
+            })
+            .collect();
+        let p = build(&inverted, 200);
+        assert!(p.dense_entities() > 0 && p.dense_entities() < 40);
+        assert_eq!(p.slab.len(), p.dense_entities() * 4);
+        assert_eq!(
+            p.heap_bytes(),
+            vec_bytes(&p.slab) + vec_bytes(&p.slots),
+            "exactly the slab plus the slot index"
+        );
+        assert_eq!(
+            p.heap_bytes(),
+            p.slab.len() * 8 + 40 * 4,
+            "no spare capacity"
+        );
     }
 }

@@ -321,7 +321,7 @@ impl CollectionBuilder {
             .map(|(e, _)| EntityId(e as u32))
             .collect();
         let distinct = occurring.len();
-        let postings = EntityPostings::build(&inverted, self.sets.len());
+        let postings = EntityPostings::build(&inverted, &occurring, self.sets.len());
         let set_fps: Vec<Fingerprint> = (0..self.sets.len() as u32)
             .map(|i| crate::subcollection::fp_of_set(SetId(i)))
             .collect();
@@ -439,7 +439,10 @@ mod tests {
             let e = EntityId(e);
             let list = c.sets_containing(e);
             match c.postings().dense(e) {
-                Some(bm) => assert_eq!(bm.iter().collect::<Vec<_>>(), list),
+                Some(words) => {
+                    assert_eq!(words.len(), c.bitmap_words(), "one slab slice");
+                    assert_eq!(crate::bitset::iter_ids(words).collect::<Vec<_>>(), list);
+                }
                 None => assert!(list.is_empty()),
             }
         }

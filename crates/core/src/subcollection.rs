@@ -497,8 +497,8 @@ impl<'c> SubCollection<'c> {
             let mut count = 0u32;
             let mut fp = Fingerprint::ZERO;
             match c.postings().dense(e) {
-                Some(bm) => {
-                    for (wi, (a, b)) in view_words.iter().zip(bm.words()).enumerate() {
+                Some(post) => {
+                    for (wi, (a, b)) in view_words.iter().zip(post).enumerate() {
                         let mut w = a & b;
                         count += w.count_ones();
                         while w != 0 {
@@ -529,9 +529,14 @@ impl<'c> SubCollection<'c> {
 
     fn count_postings_impl(&self, out: &mut Vec<EntityCount>, below: u32) {
         let c = self.collection;
+        let view_words = self.bits.words();
         for &e in c.occurring_entities() {
             let count = match c.postings().dense(e) {
-                Some(bm) => self.bits.intersection_len(bm) as u32,
+                Some(post) => view_words
+                    .iter()
+                    .zip(post)
+                    .map(|(a, b)| (a & b).count_ones())
+                    .sum(),
                 None => c
                     .sets_containing(e)
                     .iter()
@@ -563,8 +568,8 @@ impl<'c> SubCollection<'c> {
         let mut fp = Fingerprint::ZERO;
         let mut count = 0u32;
         match c.postings().dense(e) {
-            Some(bm) => {
-                for (wi, (a, b)) in self.bits.words().iter().zip(bm.words()).enumerate() {
+            Some(post) => {
+                for (wi, (a, b)) in self.bits.words().iter().zip(post).enumerate() {
                     let mut w = a & b;
                     count += w.count_ones();
                     while w != 0 {
@@ -599,6 +604,12 @@ impl<'c> SubCollection<'c> {
     /// allocation-free variant of [`Self::informative_entities`] for
     /// argmin-style callers whose final ranking key is total anyway.
     pub fn informative_into(&self, scratch: &mut CountScratch, out: &mut Vec<EntityCount>) {
+        obs::in_span(obs::Site::Count, || {
+            self.informative_into_impl(scratch, out)
+        });
+    }
+
+    fn informative_into_impl(&self, scratch: &mut CountScratch, out: &mut Vec<EntityCount>) {
         out.clear();
         let n = self.len;
         if self.use_postings(1) {
@@ -639,6 +650,17 @@ impl<'c> SubCollection<'c> {
     /// the postings sweep has no per-set weight hook, and with a total key
     /// the two orders select identically anyway.
     pub fn informative_weighted(
+        &self,
+        scratch: &mut CountScratch,
+        out: &mut Vec<WeightedEntityStats>,
+        weights: &WeightTable,
+    ) {
+        obs::in_span(obs::Site::Count, || {
+            self.informative_weighted_impl(scratch, out, weights)
+        });
+    }
+
+    fn informative_weighted_impl(
         &self,
         scratch: &mut CountScratch,
         out: &mut Vec<WeightedEntityStats>,
@@ -717,13 +739,12 @@ impl<'c> SubCollection<'c> {
         let mut yes_fp = Fingerprint::ZERO;
         let mut yes_count = 0u32;
         let mut yes_elems = 0u64;
-        if let Some(bm) = c.postings().dense(e) {
+        if let Some(post_words) = c.postings().dense(e) {
             yes.bits.reset(c.len());
             no.bits.reset(c.len());
             let yes_words = yes.bits.words_mut();
             let no_words = no.bits.words_mut();
             let view_words = self.bits.words();
-            let post_words = bm.words();
             for wi in 0..view_words.len() {
                 let a = view_words[wi];
                 let b = post_words[wi];
@@ -1280,5 +1301,142 @@ mod tests {
         let level = scratch.take_level(2);
         assert!(level.cand.is_empty(), "per-frame state cleared");
         assert_eq!(level.yes.bits.words().len(), words, "bitmap words reused");
+    }
+
+    #[test]
+    fn lookahead_counting_entry_points_record_at_the_count_site() {
+        let count_site = || {
+            obs::snapshot()
+                .into_iter()
+                .find(|site| site.name == "count")
+                .map_or(0, |site| site.histogram.count)
+        };
+        let c = figure1();
+        let view = c.full_view();
+        let mut scratch = CountScratch::new();
+        obs::arm(true);
+        let before = count_site();
+        view.informative_into(&mut scratch, &mut Vec::new());
+        let weights = WeightTable::uniform(c.len());
+        view.informative_weighted(&mut scratch, &mut Vec::new(), &weights);
+        let after = count_site();
+        obs::arm(false);
+        assert!(after >= before + 2, "count site {before} -> {after}");
+    }
+
+    /// A random collection of exactly `n` sets over three entity bands:
+    /// a unique tag per set (keeps every set distinct, so deduplication
+    /// never changes `n`), two entities pinned one below and exactly at the
+    /// dense threshold of `⌈n/64⌉` sets, and 24 entities whose per-set
+    /// rates run from rare to near-universal.
+    fn mixed_density(n: usize, seed: u64) -> Collection {
+        let mut rng = setdisc_util::rng::Rng::new(seed);
+        let words = n.div_ceil(64);
+        let mut sets: Vec<Vec<u32>> = (0..n).map(|s| vec![1000 + s as u32]).collect();
+        for (entity, len) in [(24u32, words - 1), (25, words)] {
+            let mut ids: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut ids);
+            for &s in &ids[..len] {
+                sets[s].push(entity);
+            }
+        }
+        for entity in 0..24u32 {
+            let rate = [0.002, 0.01, 0.03, 0.1, 0.5, 0.97][entity as usize % 6];
+            for set in &mut sets {
+                if rng.chance(rate) {
+                    set.push(entity);
+                }
+            }
+        }
+        Collection::from_raw_sets(sets).unwrap()
+    }
+
+    fn sorted_counts(mut v: Vec<EntityCount>) -> Vec<EntityCount> {
+        v.sort_unstable_by_key(|c| c.entity);
+        v
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The slab-backed kernels agree with their references on
+        /// collections whose set count is not a multiple of 64 (a masked
+        /// tail word) and whose entities straddle the dense threshold:
+        /// every dense slice decodes to the inverted list, the postings
+        /// sweep matches the element pass with and without fingerprints,
+        /// and every split matches the id-vector merge.
+        #[test]
+        fn slab_kernels_agree_on_mixed_density_collections(
+            n in 65usize..=330,
+            seed in 0u64..u64::MAX,
+            mask in 1u64..u64::MAX,
+        ) {
+            proptest::prop_assume!(n % 64 != 0);
+            let c = mixed_density(n, seed);
+            proptest::prop_assert_eq!(c.len(), n);
+            let words = c.bitmap_words();
+            let postings = c.postings();
+            proptest::prop_assert!(postings.dense(EntityId(24)).is_none());
+            proptest::prop_assert!(postings.dense(EntityId(25)).is_some());
+            for e in (0..c.universe()).map(EntityId) {
+                let list = c.sets_containing(e);
+                match postings.dense(e) {
+                    Some(slice) => {
+                        proptest::prop_assert_eq!(slice.len(), words);
+                        let decoded: Vec<SetId> = crate::bitset::iter_ids(slice).collect();
+                        proptest::prop_assert_eq!(&decoded[..], list, "entity {}", e.0);
+                    }
+                    None => proptest::prop_assert!(list.len() < words, "entity {}", e.0),
+                }
+            }
+
+            let full = c.full_view();
+            let sub = full.filter(|id| mask >> (id.0 % 64) & 1 == 1);
+            let mut scratch = CountScratch::new();
+            for view in [&full, &sub] {
+                let mut elements = Vec::new();
+                view.count_entities_with_fp_elements(&mut scratch, &mut elements);
+                elements.sort_unstable_by_key(|s| s.entity);
+                let mut swept = Vec::new();
+                view.count_entities_with_fp_postings(&mut swept);
+                proptest::prop_assert_eq!(&swept, &elements, "fp sweep, {} sets", view.len());
+
+                let counts: Vec<EntityCount> = elements
+                    .iter()
+                    .map(|s| EntityCount { entity: s.entity, count: s.count })
+                    .collect();
+                let mut plain = Vec::new();
+                view.count_postings_impl(&mut plain, u32::MAX);
+                proptest::prop_assert_eq!(&plain, &counts, "count sweep, {} sets", view.len());
+                let mut auto = Vec::new();
+                view.count_entities(&mut scratch, &mut auto);
+                proptest::prop_assert_eq!(&sorted_counts(auto), &counts);
+                let mut informative = Vec::new();
+                view.informative_into(&mut scratch, &mut informative);
+                let expect: Vec<EntityCount> = counts
+                    .iter()
+                    .copied()
+                    .filter(|ec| (ec.count as usize) < view.len())
+                    .collect();
+                proptest::prop_assert_eq!(&sorted_counts(informative), &expect);
+
+                for e in (0..=c.universe()).map(EntityId) {
+                    let (y1, n1) = view.partition_into(e, SubStorage::new(), SubStorage::new());
+                    let (y2, n2) =
+                        view.partition_into_merge(e, SubStorage::new(), SubStorage::new());
+                    proptest::prop_assert_eq!(y1.bitmap(), y2.bitmap(), "yes, entity {}", e.0);
+                    proptest::prop_assert_eq!(n1.bitmap(), n2.bitmap(), "no, entity {}", e.0);
+                    proptest::prop_assert_eq!((y1.len(), n1.len()), (y2.len(), n2.len()));
+                    proptest::prop_assert_eq!(y1.fingerprint(), y2.fingerprint());
+                    proptest::prop_assert_eq!(n1.fingerprint(), n2.fingerprint());
+                    proptest::prop_assert_eq!(y1.total_elements(), y2.total_elements());
+                    proptest::prop_assert_eq!(n1.total_elements(), n2.total_elements());
+                    proptest::prop_assert_eq!(
+                        view.membership_stat(e),
+                        (y2.len() as u32, y2.fingerprint())
+                    );
+                }
+            }
+        }
     }
 }

@@ -254,6 +254,17 @@ pub fn load_plan(path: impl AsRef<Path>, capacity: usize) -> io::Result<PlanCach
 mod tests {
     use super::*;
     use setdisc_core::collection::Collection;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The fault injector is process-global: a test that arms it would
+    /// fail any `save_plan` running beside it. Every test here that saves
+    /// holds this lock.
+    fn saves_exclusive() -> MutexGuard<'static, ()> {
+        static SAVES: Mutex<()> = Mutex::new(());
+        SAVES
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn figure1() -> Collection {
         Collection::from_raw_sets(vec![
@@ -299,6 +310,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_every_node() {
+        let _saves = saves_exclusive();
         let (c, cache) = sample_cache();
         let dir = std::env::temp_dir().join("setdisc_plan_test_roundtrip");
         let path = dir.join("figure1.plan");
@@ -320,6 +332,7 @@ mod tests {
 
     #[test]
     fn corrupted_files_are_rejected() {
+        let _saves = saves_exclusive();
         let (_, cache) = sample_cache();
         let dir = std::env::temp_dir().join("setdisc_plan_test_corrupt");
         let path = dir.join("x.plan");
@@ -366,8 +379,9 @@ mod tests {
 
     #[test]
     fn faulted_saves_never_touch_the_last_good_file() {
-        // Process-global fault state: serialize with any other test that
-        // arms it (this is the only one in this crate).
+        // Process-global fault state: the only test in this crate that arms
+        // it, serialized with every other save.
+        let _saves = saves_exclusive();
         let (_, cache) = sample_cache();
         let dir = std::env::temp_dir().join("setdisc_plan_test_atomic");
         let path = dir.join("x.plan");
@@ -405,6 +419,7 @@ mod tests {
 
     #[test]
     fn weighted_plan_does_not_cover_the_unweighted_strategy() {
+        let _saves = saves_exclusive();
         // A file holding only weighted-key nodes loads fine, but a loader
         // about to serve the unweighted configuration can (and must) detect
         // that the plan shares zero nodes with it.

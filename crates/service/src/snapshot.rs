@@ -1073,7 +1073,7 @@ mod tests {
     #[test]
     fn postings_index_is_shared_not_rebuilt() {
         // Every handle clone must see the same postings index instance —
-        // the words slice of a dense entity resolves to the same memory.
+        // a dense entity's slab slice resolves to the same memory.
         let snap = fixture("copyadd:80:0.8:3").unwrap();
         let a = SnapshotHandle(Arc::clone(&snap));
         let b = a.clone();
@@ -1082,9 +1082,9 @@ mod tests {
             .find(|&e| a.postings().dense(e).is_some())
             .expect("a dense entity exists at n=80");
         assert_eq!(
-            a.postings().dense(e).unwrap().words().as_ptr(),
-            b.postings().dense(e).unwrap().words().as_ptr(),
-            "postings bitmaps shared through the Arc"
+            a.postings().dense(e).unwrap().as_ptr(),
+            b.postings().dense(e).unwrap().as_ptr(),
+            "postings slab shared through the Arc"
         );
     }
 }
