@@ -230,7 +230,7 @@ fn resolve_strategy(
     match weights {
         Some(w) => {
             let strategy = spec
-                .build_weighted(&LookaheadTuning::default(), Arc::clone(w))
+                .build_weighted(&LookaheadTuning, Arc::clone(w))
                 .unwrap_or_else(|e| die(&e));
             (strategy, spec.weighted_label(w), spec.weighted_plan_key(w))
         }

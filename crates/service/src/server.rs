@@ -300,9 +300,11 @@ impl TcpServer {
     /// drain deadline for in-flight connections to finish. Returns `true`
     /// when every connection drained; `false` when stragglers (idle peers
     /// sitting inside their read deadline) were abandoned to process
-    /// exit. Connection threads re-check the shutdown flag between
-    /// requests, so active request/response cycles complete and the
-    /// response is flushed before their connection closes.
+    /// exit. Connection threads check the shutdown flag after each
+    /// response, so active request/response cycles complete and the
+    /// response is flushed before their connection closes; a connection
+    /// that has not sent a request is an idle peer whichever way its
+    /// thread was scheduled.
     pub fn shutdown(mut self) -> bool {
         self.begin_shutdown();
         let deadline = Instant::now() + self.drain_deadline;
@@ -452,9 +454,6 @@ fn connection_loop(service: &Service, stream: TcpStream, shared: &ConnShared) {
     let mut writer = io::BufWriter::new(stream);
     let mut served: u64 = 0;
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return; // drain: finish the in-flight request, not the connection
-        }
         match reader.read_line() {
             Ok(ReadLine::Eof) => return,
             Ok(ReadLine::TooLong) => {
@@ -498,6 +497,14 @@ fn connection_loop(service: &Service, stream: TcpStream, shared: &ConnShared) {
                 let response = service.handle_line(&line);
                 if !send(&mut writer, &response) {
                     return; // client went away (or injected write fault)
+                }
+                // Drain: the in-flight request is answered; close the
+                // connection rather than wait for its next one. The flag is
+                // read only here, after a response: read before the first
+                // read, it would close an idle peer or not depending on
+                // whether this thread ran before shutdown began.
+                if shared.shutdown.load(Ordering::Acquire) {
+                    return;
                 }
             }
         }

@@ -18,22 +18,13 @@ use std::sync::Arc;
 /// A boxed, table-storable selection strategy.
 pub type BoxedStrategy = Box<dyn SelectionStrategy + Send>;
 
-/// Deployment-level tuning for the parallel k-LP engine, applied to every
-/// lookahead strategy the service builds. This is service configuration,
-/// not a wire field: the parallel selection loop is bit-identical to the
-/// sequential one (see `setdisc_core::lookahead`), so clients cannot — and
-/// need not — observe it; operators size it to the machine via
-/// [`crate::ServiceConfig`] or the `SETDISC_THREADS` environment knob.
+/// Vestigial: k-LP has one sequential selection loop, so there is nothing
+/// left to tune. This field-less type survives only so that the
+/// [`StrategySpec::build_tuned`] / [`StrategySpec::build_weighted`]
+/// signatures stay put for the benchmark crate that calls them; drop it
+/// (and the parameter) together with those call sites.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub struct LookaheadTuning {
-    /// Worker threads for the selection loop (`0` keeps the
-    /// `setdisc_util::pool::configured_threads` default, `1` forces the
-    /// sequential path).
-    pub threads: usize,
-    /// Optional `(min_survivors, min_view)` dispatch-gate override; `None`
-    /// keeps the conservative library defaults.
-    pub parallel_gate: Option<(usize, usize)>,
-}
+pub struct LookaheadTuning;
 
 /// Cost metric selector (`ad` = average depth, `h` = height).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -151,47 +142,23 @@ impl StrategySpec {
         Ok(spec)
     }
 
-    /// Builds the configured strategy with default lookahead tuning.
+    /// Builds the configured strategy.
     pub fn build(&self) -> BoxedStrategy {
-        self.build_tuned(&LookaheadTuning::default())
-    }
-
-    /// Builds the configured strategy, applying `tuning` to the k-LP
-    /// families (the greedy strategies have no parallel loop to tune).
-    pub fn build_tuned(&self, tuning: &LookaheadTuning) -> BoxedStrategy {
-        fn tune<M: setdisc_core::cost::CostModel>(
-            mut klp: KLp<M>,
-            tuning: &LookaheadTuning,
-        ) -> KLp<M> {
-            if tuning.threads != 0 {
-                klp = klp.with_threads(tuning.threads);
-            }
-            if let Some((min_survivors, min_view)) = tuning.parallel_gate {
-                klp = klp.with_parallel_gate(min_survivors, min_view);
-            }
-            klp
-        }
         match (self.kind, self.metric) {
-            (StrategyKind::KLp, Metric::AvgDepth) => {
-                Box::new(tune(KLp::<AvgDepth>::new(self.k), tuning))
-            }
-            (StrategyKind::KLp, Metric::Height) => {
-                Box::new(tune(KLp::<Height>::new(self.k), tuning))
-            }
+            (StrategyKind::KLp, Metric::AvgDepth) => Box::new(KLp::<AvgDepth>::new(self.k)),
+            (StrategyKind::KLp, Metric::Height) => Box::new(KLp::<Height>::new(self.k)),
             (StrategyKind::KLpLe, Metric::AvgDepth) => {
-                Box::new(tune(KLp::<AvgDepth>::limited(self.k, self.beam), tuning))
+                Box::new(KLp::<AvgDepth>::limited(self.k, self.beam))
             }
             (StrategyKind::KLpLe, Metric::Height) => {
-                Box::new(tune(KLp::<Height>::limited(self.k, self.beam), tuning))
+                Box::new(KLp::<Height>::limited(self.k, self.beam))
             }
-            (StrategyKind::KLpLve, Metric::AvgDepth) => Box::new(tune(
-                KLp::<AvgDepth>::limited_variable(self.k, self.beam),
-                tuning,
-            )),
-            (StrategyKind::KLpLve, Metric::Height) => Box::new(tune(
-                KLp::<Height>::limited_variable(self.k, self.beam),
-                tuning,
-            )),
+            (StrategyKind::KLpLve, Metric::AvgDepth) => {
+                Box::new(KLp::<AvgDepth>::limited_variable(self.k, self.beam))
+            }
+            (StrategyKind::KLpLve, Metric::Height) => {
+                Box::new(KLp::<Height>::limited_variable(self.k, self.beam))
+            }
             (StrategyKind::MostEven, _) => Box::new(MostEven::new()),
             (StrategyKind::InfoGain, _) => Box::new(InfoGain::new()),
             (StrategyKind::IndistPairs, _) => Box::new(IndistinguishablePairs::new()),
@@ -201,38 +168,31 @@ impl StrategySpec {
         }
     }
 
+    /// [`Self::build`]; the vestigial [`LookaheadTuning`] is ignored.
+    pub fn build_tuned(&self, _tuning: &LookaheadTuning) -> BoxedStrategy {
+        self.build()
+    }
+
     /// Builds the configured strategy under a per-set prior (§6 weighted
     /// AD). Only the families whose weighted math is implemented qualify:
     /// the k-LP lookaheads under the AD metric (weighted total depth) and
     /// most-even (weighted balance). Everything else is an error the wire
-    /// layer reports verbatim.
+    /// layer reports verbatim. The vestigial [`LookaheadTuning`] is
+    /// ignored.
     pub fn build_weighted(
         &self,
-        tuning: &LookaheadTuning,
+        _tuning: &LookaheadTuning,
         weights: Arc<WeightTable>,
     ) -> Result<BoxedStrategy, String> {
-        fn tune<M: setdisc_core::cost::CostModel>(
-            mut klp: KLp<M>,
-            tuning: &LookaheadTuning,
-        ) -> KLp<M> {
-            if tuning.threads != 0 {
-                klp = klp.with_threads(tuning.threads);
-            }
-            if let Some((min_survivors, min_view)) = tuning.parallel_gate {
-                klp = klp.with_parallel_gate(min_survivors, min_view);
-            }
-            klp
-        }
         match (self.kind, self.metric) {
-            (StrategyKind::KLp, Metric::AvgDepth) => Ok(Box::new(
-                tune(KLp::<AvgDepth>::new(self.k), tuning).with_prior(weights),
-            )),
+            (StrategyKind::KLp, Metric::AvgDepth) => {
+                Ok(Box::new(KLp::<AvgDepth>::new(self.k).with_prior(weights)))
+            }
             (StrategyKind::KLpLe, Metric::AvgDepth) => Ok(Box::new(
-                tune(KLp::<AvgDepth>::limited(self.k, self.beam), tuning).with_prior(weights),
+                KLp::<AvgDepth>::limited(self.k, self.beam).with_prior(weights),
             )),
             (StrategyKind::KLpLve, Metric::AvgDepth) => Ok(Box::new(
-                tune(KLp::<AvgDepth>::limited_variable(self.k, self.beam), tuning)
-                    .with_prior(weights),
+                KLp::<AvgDepth>::limited_variable(self.k, self.beam).with_prior(weights),
             )),
             (StrategyKind::MostEven, _) => Ok(Box::new(WeightedMostEven::new(weights))),
             _ => Err(format!(
@@ -433,7 +393,7 @@ mod tests {
     #[test]
     fn weighted_builds_label_and_key_agree() {
         let weights = Arc::new(WeightTable::new(&[5, 1, 1, 1, 1, 1, 1]).unwrap());
-        let tuning = LookaheadTuning::default();
+        let tuning = LookaheadTuning;
         for kind in ["klp", "klp-le", "klp-lve", "most-even"] {
             let spec = StrategySpec::parse(kind, Some("ad"), Some(2), Some(5), None).unwrap();
             let built = spec

@@ -7,10 +7,6 @@
 //!   aliases keyed on it (hot maps are keyed by small integers, where SipHash
 //!   is needlessly slow), and the 128-bit incremental [`Fingerprint`] the
 //!   selection hot path uses as an allocation-free sub-collection identity.
-//! * [`bitset`] — a dense, fixed-capacity bitset for id-set algebra
-//!   (currently a standalone utility: the hot paths moved to sorted id
-//!   vectors + fingerprints), with a [`Fingerprint`]-compatible content
-//!   digest so bitset- and vector-represented sets agree on identity.
 //! * [`faults`] — deterministic fault injection behind named hook sites
 //!   (seeded schedules of I/O errors, short writes, delays, and panics),
 //!   armed by the chaos test suite and the `SETDISC_FAULTS` environment
@@ -23,9 +19,10 @@
 //!   shards), span timing at the same named sites [`faults`] trips (armed
 //!   via `SETDISC_OBS`; one relaxed load when disarmed), and the leveled
 //!   stderr logger every binary's diagnostics flow through.
-//! * [`pool`] — the scoped worker pool and the single `SETDISC_THREADS`
-//!   knob behind every parallel region (experiment `par_map`, the parallel
-//!   k-LP candidate loop), scheduled by an atomic claim counter.
+//! * [`pool`] — the scoped worker pool and the `SETDISC_THREADS` knob
+//!   behind the experiment harness's `par_map`, scheduled by an atomic
+//!   claim counter. (k-LP selection itself is sequential; the service runs
+//!   sessions in parallel on its own transport threads.)
 //! * [`mem`] — the [`mem::HeapSize`] accounting trait behind the memory
 //!   governor's global byte budget: exact owned-heap-bytes reporting for
 //!   the workspace's own types, surfaced through the [`obs`] memory
@@ -42,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod faults;
 pub mod hash;
 pub mod journal;
@@ -53,6 +49,5 @@ pub mod pool;
 pub mod report;
 pub mod rng;
 
-pub use bitset::DenseBitSet;
 pub use hash::{Fingerprint, FxHashMap, FxHashSet, FxHasher};
 pub use rng::Rng;

@@ -1,17 +1,16 @@
 //! A reusable scoped worker pool with claim-counter scheduling.
 //!
-//! Every parallel region in the workspace — `setdisc-eval`'s `par_map`
-//! over experiment workloads and the k-LP candidate loop in
-//! `setdisc-core::lookahead` — goes through this module, so one knob
-//! controls them all: [`configured_threads`] reads the `SETDISC_THREADS`
-//! environment variable (clamped to ≥ 1) and falls back to
-//! [`std::thread::available_parallelism`].
+//! The experiment harness's parallel region — `setdisc-eval`'s `par_map`
+//! over experiment workloads — goes through this module:
+//! [`configured_threads`] reads the `SETDISC_THREADS` environment variable
+//! (clamped to ≥ 1) and falls back to
+//! [`std::thread::available_parallelism`]. k-LP selection does not use it:
+//! its early exit is sequential, and the service parallelizes across
+//! sessions on its own transport threads.
 //!
 //! The scheduling design is a single atomic **claim counter** rather than a
 //! work queue: each worker `fetch_add`s the next item index, so there is no
-//! contended lock and items are handed out in index order — the property
-//! the parallel lookahead's deterministic replay relies on (earlier
-//! candidates are claimed no later than later ones). Workers are plain
+//! contended lock and items are handed out in index order. Workers are plain
 //! [`std::thread::scope`] threads, which keeps the pool free of `unsafe`
 //! and lets jobs borrow from the caller's stack; regions therefore pay one
 //! thread spawn per worker, and callers gate parallelism on having enough
@@ -48,7 +47,7 @@ pub fn threads_from(env_value: Option<&str>, fallback: usize) -> (usize, Option<
     }
 }
 
-/// The configured worker count for every parallel region in the process:
+/// The configured worker count for the process's parallel regions:
 /// `SETDISC_THREADS` when set (≥ 1; `1` disables parallelism), else the
 /// machine's available parallelism. The environment is read **once** — the
 /// result is cached for the process lifetime, and a malformed value warns
